@@ -283,14 +283,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the allocation service until interrupted."""
     from .obs.telemetry import EVENTS, TELEMETRY
     from .selfcheck import SelfCheckError, run_selfcheck
-    from .service import (
-        ServiceConfig,
-        make_server,
-        make_shard_server,
-        shutdown_server,
-        shutdown_shard_server,
-    )
-    from .service.server import ServiceHandler
+    from .service import ServiceConfig, make_server
+    from .service.server import ServiceHandler, serve
 
     # Boot-time self-check: never serve from a flat path that diverges
     # from the object-graph baseline.
@@ -327,36 +321,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.verbose:
         ServiceHandler.verbose = True
-    if args.shards > 0:
-        server = make_shard_server(
-            args.host, args.port, shards=args.shards, config=config
-        )
-        shutdown = shutdown_shard_server
-        what = f"repro shard service ({args.shards} workers)"
-    else:
-        server = make_server(args.host, args.port, config)
-        shutdown = shutdown_server
-        what = "repro service"
-
-    # SIGTERM means *graceful*: stop accepting, let in-flight jobs
-    # finish, sync the journal, then exit.  (SIGKILL is the crash the
-    # journal exists for — recovery replays on the next boot.)  Shard
-    # workers install their own in-process handler; the frontend only
-    # needs to stop serving, router.close() SIGTERMs each worker.
-    import signal
-    import threading
-
-    def _graceful(signum, frame):  # noqa: ARG001 - signal signature
-        def _drain_and_stop():
-            service = getattr(server, "service", None)
-            if service is not None:
-                service.drain_wait(timeout=10.0)
-            server.shutdown()
-
-        threading.Thread(target=_drain_and_stop, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _graceful)
-
+    server = make_server(args.host, args.port, config, shards=args.shards)
+    what = (
+        f"repro shard service ({args.shards} workers)"
+        if args.shards > 0 else "repro service"
+    )
     host, port = server.server_address[:2]
     print(f"{what} listening on http://{host}:{port}", flush=True)
     if TELEMETRY.enabled:
@@ -365,12 +334,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "GET /v1/trace/<trace_id> (merged spans)",
             flush=True,
         )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        shutdown(server)
+    serve(server)  # SIGTERM = graceful drain + journal sync
     return 0
 
 

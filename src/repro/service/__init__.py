@@ -15,8 +15,9 @@ stack rather than a batch script (see ``docs/SERVICE.md``):
   serve --journal``: checksummed JSONL frames, recovery replay of
   accepted-but-unfinished jobs, checkpoint compaction (see the
   "Durability & lifecycle" section of ``docs/RESILIENCE.md``);
-* :mod:`.server` / :mod:`.client` — the HTTP/JSON front-end behind
-  ``repro serve`` and its Python client;
+* :mod:`.server` / :mod:`.client` — the one HTTP/JSON handler behind
+  ``repro serve`` (over one local service or a shard router) and its
+  Python client;
 * :mod:`.shard` — the horizontal scale-out layer: consistent-hash
   routing over N worker processes with health-check/evict/respawn
   (``repro serve --shards N``, see ``docs/SCALING.md``);
@@ -65,10 +66,7 @@ from .shard import (
     NoShardAvailableError,
     ProcessShard,
     ShardError,
-    ShardFrontendServer,
     ShardRouter,
-    make_shard_server,
-    shutdown_shard_server,
 )
 
 __all__ = [
@@ -96,7 +94,6 @@ __all__ = [
     "ServiceOverloadError",
     "ServiceServer",
     "ShardError",
-    "ShardFrontendServer",
     "ShardRouter",
     "TierCostModel",
     "artifact_bytes",
@@ -108,11 +105,9 @@ __all__ = [
     "ladder_from",
     "loadgen_record",
     "make_server",
-    "make_shard_server",
     "module_cache_key",
     "normalize_request",
     "run_loadgen",
     "select_tier",
     "shutdown_server",
-    "shutdown_shard_server",
 ]

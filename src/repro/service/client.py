@@ -307,7 +307,12 @@ class ServiceClient:
     def wait(
         self, job_id: str, timeout: float = 30.0, interval: float = 0.02
     ) -> dict:
-        """Poll until the job leaves the queue or *timeout* elapses."""
+        """Poll until the job leaves the queue or *timeout* elapses.
+
+        A timeout raises :class:`ServiceError` with status ``202``: the
+        server answered, the job is just not finished (a shard router
+        must not mistake it for a dead worker).
+        """
         deadline = time.monotonic() + timeout
         while True:
             status = self.poll(job_id)
@@ -315,7 +320,8 @@ class ServiceClient:
                 return status
             if time.monotonic() >= deadline:
                 raise ServiceError(
-                    f"job {job_id} still {status['status']} after {timeout}s"
+                    f"job {job_id} still {status['status']} after {timeout}s",
+                    status=202,
                 )
             time.sleep(interval)
 

@@ -57,6 +57,20 @@ JOURNAL_FORMAT = "repro-journal/1"
 REQUEST_FIELDS = ("ir", "file", "method", "flags", "machine", "deadline_ms")
 
 
+def _replace_durably(tmp: str, path: str) -> None:
+    """``os.replace`` *tmp* over *path*, then fsync the directory.
+
+    The rename lives in the directory entry, not in either file: until
+    the directory is synced a power loss can bring back the old file.
+    """
+    os.replace(tmp, path)
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def frame_record(record: dict) -> bytes:
     """One checksummed JSONL frame for *record* (trailing newline)."""
     payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -372,7 +386,7 @@ class JobJournal:
                 fh.write(b"".join(good))
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            _replace_durably(tmp, path)
 
     # ------------------------------------------------------------------
     # Compaction
@@ -409,7 +423,7 @@ class JobJournal:
                     fh.write(frame_record({"type": "dead-letter", "record": record}))
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, self.checkpoint_path)
+            _replace_durably(tmp, self.checkpoint_path)
             self.close()
             with open(self.journal_path, "wb"):
                 pass  # truncate; reopened lazily on next append

@@ -1,13 +1,20 @@
 """HTTP/JSON front-end for the allocation service (``repro serve``).
 
-Stdlib-only (``http.server``): a :class:`ThreadingHTTPServer` whose
-handlers call straight into one shared
-:class:`~repro.service.queue.AllocationService`.
+Stdlib-only (``http.server``): one :class:`ThreadingHTTPServer` whose
+handlers call into a *backend* — the dict-returning request surface
+(submit / allocate / poll / wait / result / stats / metrics_samples /
+trace / drain / health) that :class:`~repro.service.shard.LocalShard`,
+:class:`~repro.service.shard.ProcessShard` and
+:class:`~repro.service.shard.ShardRouter` share.  ``repro serve``
+mounts one :class:`~repro.service.queue.AllocationService` as a
+``LocalShard``; ``repro serve --shards N`` mounts a ``ShardRouter`` over
+N worker processes.  Same handler, same routes, same error statuses.
 
 Endpoints (all JSON):
 
 ========================  ====================================================
-``GET  /healthz``         liveness probe → ``{"ok": true}``
+``GET  /healthz``         liveness probe → ``{"ok": true}`` (a fleet adds
+                          ``shards``, the ring size)
 ``GET  /v1/stats``        counters, queue depth, cache stats, tier estimates,
                           dead-letter record, fault-plan accounting
 ``POST /v1/submit``       enqueue a request → ``{job_id, cache, status}``
@@ -17,6 +24,7 @@ Endpoints (all JSON):
 ``GET  /v1/metrics``      live metrics — Prometheus text exposition
                           (``?format=json`` for the raw sample)
 ``GET  /v1/trace/<trace_id>``  buffered spans of one distributed trace
+``POST /v1/admin/drain``  enter draining mode (a fleet: ``?shard=NAME``)
 ========================  ====================================================
 
 ``/v1/jobs/<id>/result`` writes the cache's canonical bytes directly to
@@ -42,36 +50,56 @@ turn any request into an injected ``5xx`` (``error``), a stall
 from __future__ import annotations
 
 import json
+import re
+import signal
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from ..obs.telemetry import TELEMETRY, TRACE_HEADER, TraceContext, render_prometheus
 from ..resilience.faults import FAULTS
 from .artifact import RequestError
-from .queue import (
-    AllocationService,
-    Job,
-    ServiceConfig,
-    ServiceDrainingError,
-    ServiceOverloadError,
+from .client import ServiceError
+from .queue import ServiceConfig, ServiceDrainingError, ServiceOverloadError
+from .shard import (
+    LocalShard,
+    ProcessShard,
+    ShardError,
+    ShardRouter,
+    shard_cache_dir,
 )
 
-#: Every route the service answers, as ``(method, path template)``.
-#: The docs-check test cross-references this against ``docs/SERVICE.md``
-#: and a live server, so neither the table nor the handlers can drift.
-ROUTES: tuple[tuple[str, str], ...] = (
-    ("GET", "/healthz"),
-    ("GET", "/v1/stats"),
-    ("POST", "/v1/submit"),
-    ("GET", "/v1/jobs/<id>"),
-    ("GET", "/v1/jobs/<id>/result"),
-    ("POST", "/v1/allocate"),
-    ("GET", "/v1/metrics"),
-    ("GET", "/v1/trace/<trace_id>"),
-    ("POST", "/v1/admin/drain"),
-)
+#: Every route the service answers: ``(method, path template)`` → the
+#: :class:`ServiceHandler` method serving it.  Dispatch walks this table
+#: (``<...>`` segments become positional arguments), and the docs-check
+#: test cross-references it against ``docs/SERVICE.md`` and live servers.
+ROUTES: dict[tuple[str, str], str] = {
+    ("GET", "/healthz"): "_health",
+    ("GET", "/v1/stats"): "_stats",
+    ("POST", "/v1/submit"): "_submit",
+    ("GET", "/v1/jobs/<id>"): "_poll",
+    ("GET", "/v1/jobs/<id>/result"): "_result",
+    ("POST", "/v1/allocate"): "_allocate",
+    ("GET", "/v1/metrics"): "_metrics",
+    ("GET", "/v1/trace/<trace_id>"): "_trace",
+    ("POST", "/v1/admin/drain"): "_drain",
+}
+
+_PATTERNS = [
+    (method, re.compile(re.sub(r"<[^>]+>", "([^/]+)", template)), handler)
+    for (method, template), handler in ROUTES.items()
+]
+
+#: Exception → ``(status, Retry-After seconds)`` for every route; the
+#: first matching entry wins, so subclasses precede their bases.
+ERROR_STATUS = {
+    RequestError: lambda exc: (400, None),
+    ServiceOverloadError: lambda exc: (503, exc.retry_after_s),
+    ShardError: lambda exc: (503, 1.0),
+    ServiceError: lambda exc: (exc.status or 502, None),
+}
 
 #: Default wait bound of the synchronous ``/v1/allocate`` endpoint.
 DEFAULT_SYNC_TIMEOUT_S = 30.0
@@ -80,12 +108,8 @@ DEFAULT_SYNC_TIMEOUT_S = 30.0
 MAX_SYNC_TIMEOUT_S = 120.0
 
 
-def _job_status(job: Job) -> dict:
-    return job.describe()
-
-
 class ServiceHandler(BaseHTTPRequestHandler):
-    """One request; the service lives on ``self.server.service``."""
+    """One request; the backend lives on ``self.server.backend``."""
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
@@ -134,22 +158,26 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise RequestError(f"invalid JSON body: {exc}") from exc
 
     @property
-    def service(self) -> AllocationService:
-        return self.server.service  # type: ignore[attr-defined]
+    def backend(self):
+        return self.server.backend  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # Distributed tracing (see repro.obs.telemetry)
     # ------------------------------------------------------------------
-
-    #: Span recorded around submit/allocate; the shard frontend renames
-    #: it so merged traces read frontend → shard → worker.
-    span_name = "server.request"
-
     def _trace_context(self) -> TraceContext | None:
         """The caller's trace coordinates, from ``X-Repro-Trace``."""
         if not TELEMETRY.enabled:
             return None
         return TraceContext.parse(self.headers.get(TRACE_HEADER))
+
+    def _request_span(self):
+        """A ``server.request`` span under the caller's trace context,
+        rooting a fresh trace when an untraced submit arrives while
+        telemetry is on."""
+        ctx = TELEMETRY.current() or self._trace_context()
+        if ctx is None and TELEMETRY.enabled:
+            ctx = TraceContext.new(path=self.path)
+        return TELEMETRY.span(ctx, "server.request", category="server", path=self.path)
 
     # ------------------------------------------------------------------
     # Guard rail every request passes through: fault injection first,
@@ -201,37 +229,60 @@ class ServiceHandler(BaseHTTPRequestHandler):
             slots.release()
 
     # ------------------------------------------------------------------
+    # Dispatch: one walk of ROUTES, one exception → status table.
+    # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         self._guarded(self._do_get)
 
+    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+        self._guarded(self._do_post)
+
     def _do_get(self) -> None:
+        self._dispatch("GET")
+
+    def _do_post(self) -> None:
+        self._dispatch("POST")
+
+    def _dispatch(self, method: str) -> None:
         url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        if url.path == "/healthz":
-            self._send_json({"ok": True})
-        elif url.path == "/v1/stats":
-            self._send_json(self.service.stats())
-        elif url.path == "/v1/metrics":
-            self._get_metrics(url)
-        elif len(parts) == 3 and parts[:2] == ["v1", "trace"]:
-            self._send_json(self._trace_payload(parts[2]))
-        elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            self._get_job(parts[2], want_result=False)
-        elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
-            self._get_job(parts[2], want_result=True)
+        for verb, pattern, handler in _PATTERNS:
+            match = verb == method and pattern.fullmatch(url.path)
+            if not match:
+                continue
+            try:
+                getattr(self, handler)(parse_qs(url.query), *match.groups())
+            except tuple(ERROR_STATUS) as exc:
+                self._send_error(exc)
+            return
+        self._send_json({"error": f"no such path {url.path!r}"}, 404)
+
+    def _send_error(self, exc: Exception) -> None:
+        status, retry_after_s = next(
+            respond(exc)
+            for kind, respond in ERROR_STATUS.items()
+            if isinstance(exc, kind)
+        )
+        payload = {"error": str(exc)}
+        if isinstance(exc, ServiceDrainingError):
+            payload["draining"] = True
+        self._send_json(payload, status, retry_after_s=retry_after_s)
+
+    def _send_status(self, status: dict) -> None:
+        """A job status view: 500 failed, 202 + Retry-After unfinished."""
+        if status["status"] == "failed":
+            self._send_json(status, 500)
         else:
-            self._send_json({"error": f"no such path {url.path!r}"}, 404)
+            self._send_json(status, 202, retry_after_s=1.0)
 
-    # -- live metrics / trace flush ------------------------------------
+    # -- routes --------------------------------------------------------
+    def _health(self, query) -> None:
+        self._send_json(self.backend.health())
 
-    def _metrics_samples(self) -> list:
-        """``[(labels, sample), ...]`` — one unlabeled sample here; the
-        shard frontend overrides this with per-shard labeled samples."""
-        return [({}, self.service.metrics_sample())]
+    def _stats(self, query) -> None:
+        self._send_json(self.backend.stats())
 
-    def _get_metrics(self, url) -> None:
-        samples = self._metrics_samples()
-        query = parse_qs(url.query)
+    def _metrics(self, query) -> None:
+        samples = self.backend.metrics_samples()
         if query.get("format", [""])[0] == "json":
             self._send_json(
                 {"samples": [{"labels": l, "sample": s} for l, s in samples]}
@@ -243,106 +294,61 @@ class ServiceHandler(BaseHTTPRequestHandler):
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
-    def _trace_payload(self, trace_id: str) -> dict:
-        """Everything this process buffered for one trace; the shard
-        frontend overrides this to also flush every shard's buffers."""
-        return {"trace_id": trace_id, "spans": TELEMETRY.spans_for(trace_id)}
+    def _trace(self, query, trace_id: str) -> None:
+        """This process's span buffer plus every out-of-process shard's
+        (in-process shards record into this same buffer)."""
+        spans = TELEMETRY.spans_for(trace_id)
+        spans.extend(self.backend.trace(trace_id)["spans"])
+        self._send_json({"trace_id": trace_id, "spans": spans})
 
-    def _get_job(self, job_id: str, want_result: bool) -> None:
-        job = self.service.get(job_id)
-        if job is None:
-            # Dead-lettered jobs outlive the job table (and, with a
-            # journal, the process): answer from the durable record.
-            view = self.service.lookup(job_id)
-            if view is None:
-                self._send_json({"error": f"unknown job {job_id!r}"}, 404)
-            else:
-                self._send_json(view, 500 if want_result else 200)
-            return
-        if not want_result:
-            self._send_json(_job_status(job))
-            return
-        if job.status == "failed":
-            self._send_json(_job_status(job), 500)
-        elif job.status != "done":
-            self._send_json(_job_status(job), 202, retry_after_s=1.0)
+    def _poll(self, query, job_id: str) -> None:
+        self._send_json(self.backend.poll(job_id))
+
+    def _result(self, query, job_id: str) -> None:
+        status = self.backend.poll(job_id)
+        if status["status"] == "done":
+            self._send_bytes(self.backend.result(job_id))
         else:
-            self._send_bytes(job.artifact or b"{}")
+            self._send_status(status)
 
-    # ------------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        self._guarded(self._do_post)
+    def _submit(self, query) -> None:
+        with self._request_span() as span:
+            status = self.backend.submit(self._read_body(), trace=span.ctx)
+        self._send_json(status, 202 if status["status"] == "queued" else 200)
 
-    def _do_post(self) -> None:
-        url = urlparse(self.path)
-        try:
-            if url.path == "/v1/submit":
-                with self._request_span() as span:
-                    job = self._submit(self._read_body(), span.ctx)
-                self._send_json(_job_status(job), 202 if job.status == "queued" else 200)
-            elif url.path == "/v1/allocate":
-                self._allocate_sync(url)
-            elif url.path == "/v1/admin/drain":
-                self._drain(url)
-            else:
-                self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except RequestError as exc:
-            self._send_json({"error": str(exc)}, 400)
-        except ServiceOverloadError as exc:
-            payload = {"error": str(exc)}
-            if isinstance(exc, ServiceDrainingError):
-                payload["draining"] = True
-            self._send_json(payload, 503, retry_after_s=exc.retry_after_s)
-
-    def _drain(self, url) -> None:
-        """Enter draining mode (idempotent; body is optional and ignored).
-
-        Returns the live lifecycle view so callers can poll this same
-        endpoint until ``drained`` flips true before restarting.
-        """
-        self._send_json(self.service.drain())
-
-    def _request_span(self):
-        """A :attr:`span_name` span under the caller's trace context,
-        rooting a fresh trace when an untraced submit arrives while
-        telemetry is on."""
-        ctx = TELEMETRY.current() or self._trace_context()
-        if ctx is None and TELEMETRY.enabled:
-            ctx = TraceContext.new(path=self.path)
-        return TELEMETRY.span(ctx, self.span_name, category="server", path=self.path)
-
-    def _submit(self, body: dict, ctx: TraceContext | None) -> Job:
-        return self.service.submit(body, trace=ctx)
-
-    def _allocate_sync(self, url) -> None:
-        query = parse_qs(url.query)
-        timeout = float(
-            query.get("timeout_s", [DEFAULT_SYNC_TIMEOUT_S])[0]
-        )
+    def _allocate(self, query) -> None:
+        timeout = float(query.get("timeout_s", [DEFAULT_SYNC_TIMEOUT_S])[0])
         timeout = min(max(timeout, 0.0), MAX_SYNC_TIMEOUT_S)
         with self._request_span() as span:
-            job = self._submit(self._read_body(), span.ctx)
-            job.wait(timeout)
-        status = _job_status(job)
-        if job.status == "failed":
-            self._send_json(status, 500)
-        elif job.status != "done":
-            self._send_json(status, 202, retry_after_s=1.0)
-        else:
-            status["artifact"] = json.loads(job.artifact)
-            self._send_json(status)
+            status, artifact = self.backend.allocate(
+                self._read_body(), timeout, trace=span.ctx
+            )
+        if artifact is None:
+            self._send_status(status)
+            return
+        status["artifact"] = json.loads(artifact)
+        self._send_json(status)
+
+    def _drain(self, query) -> None:
+        """Enter draining mode; idempotent, so callers poll this same
+        endpoint until ``drained`` flips true before restarting.  A fleet
+        drains the worker named by ``?shard=NAME``."""
+        self._send_json(self.backend.drain(query.get("shard", [None])[0]))
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`AllocationService`."""
+    """Threading HTTP server over one backend (a ``LocalShard`` or a
+    ``ShardRouter``)."""
 
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], service: AllocationService):
+    def __init__(
+        self, address: tuple[str, int], backend, max_concurrent_requests: int
+    ):
         super().__init__(address, ServiceHandler)
-        self.service = service
+        self.backend = backend
         self.request_slots = threading.BoundedSemaphore(
-            max(1, service.config.max_concurrent_requests)
+            max(1, max_concurrent_requests)
         )
 
 
@@ -350,20 +356,71 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
     config: ServiceConfig | None = None,
-    service: AllocationService | None = None,
+    *,
+    shards: int = 0,
+    backend=None,
 ) -> ServiceServer:
     """Build (but do not run) a server; ``port=0`` binds a free port.
 
-    The dispatcher is started; callers own ``serve_forever`` /
-    ``shutdown`` plus :func:`shutdown_server` for the service side.
+    With ``shards=0`` the backend is one in-process service (a
+    :class:`~repro.service.shard.LocalShard`, its dispatcher started).
+    With ``shards=N`` it is a :class:`~repro.service.shard.ShardRouter`
+    over worker processes ``s0..s{N-1}``, health-checked every second;
+    each worker gets a private cache shard under ``cache_dir`` and a
+    private journal under ``journal_dir``
+    (:func:`~repro.service.shard.shard_cache_dir` — keyspace partitioning
+    means no two live shards share either).  Pass a pre-built *backend*
+    to serve it instead (the tests mount ``LocalShard`` fleets this way).
+    Callers own ``serve_forever`` (or :func:`serve`) and
+    :func:`shutdown_server`.
     """
-    service = service or AllocationService(config)
-    service.start()
-    return ServiceServer((host, port), service)
+    config = config or ServiceConfig()
+    if backend is None and shards > 0:
+        backend = ShardRouter(
+            ProcessShard(
+                f"s{i}",
+                replace(
+                    config,
+                    cache_dir=shard_cache_dir(config.cache_dir, f"s{i}"),
+                    journal_dir=shard_cache_dir(config.journal_dir, f"s{i}"),
+                ),
+                host=host,
+            )
+            for i in range(shards)
+        )
+        backend.start_health_loop(1.0)
+    elif backend is None:
+        backend = LocalShard("local", config)
+    return ServiceServer((host, port), backend, config.max_concurrent_requests)
 
 
 def shutdown_server(server: ServiceServer) -> None:
-    """Stop the HTTP loop and the service dispatcher."""
+    """Stop the HTTP loop, then close the backend (its workers too)."""
     server.shutdown()
     server.server_close()
-    server.service.stop()
+    server.backend.close()
+
+
+def serve(server: ServiceServer) -> None:
+    """Serve until Ctrl-C or SIGTERM, then :func:`shutdown_server`.
+
+    SIGTERM is graceful: the backend finishes in-flight work and syncs
+    its journal while the HTTP loop still answers polls, then the loop
+    stops.  (SIGKILL is the crash the journal exists for — recovery
+    replays on the next boot.)
+    """
+
+    def _graceful(signum, frame):  # noqa: ARG001 - signal signature
+        def _stop():
+            server.backend.close()
+            server.shutdown()
+
+        threading.Thread(target=_stop, daemon=True).start()
+
+    signal.signal(signal.SIGTERM, _graceful)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        shutdown_server(server)

@@ -1,4 +1,4 @@
-"""Shard-aware front end: consistent-hash the key space over N workers.
+"""Shard layer: consistent-hash the key space over N workers.
 
 One :class:`~repro.service.queue.AllocationService` scales until its
 dispatcher thread saturates a core.  The shard layer scales *out*: a
@@ -9,13 +9,24 @@ working because identical requests always land on the same shard.
 
 Topology (see ``docs/SCALING.md``)::
 
-    client ──HTTP──▶ ShardFrontendServer ──▶ ShardRouter
+    client ──HTTP──▶ ServiceHandler ──▶ backend = ShardRouter
                                               │ consistent-hash ring
                     ┌─────────────────────────┼─────────────────────┐
                     ▼                         ▼                     ▼
               worker shard s0           worker shard s1       worker shard s2
-              (AllocationService        (own process,         ...
-               + cache dir s0)          cache dir s1)
+              (ProcessShard: own        (own process,         ...
+               process, cache dir s0)   cache dir s1)
+
+Every class here that serves requests speaks one dict-returning
+request surface — ``submit`` / ``poll`` / ``wait`` / ``result`` /
+``stats`` / ``metrics_samples`` / ``trace`` / ``drain`` / ``health`` /
+``close``, plus ``allocate`` (submit + wait + result) on the two
+classes a server mounts — and the one HTTP handler
+(:class:`~repro.service.server.ServiceHandler`) serves whichever
+*backend* its server mounts: a lone :class:`LocalShard` for ``repro
+serve`` (and inside each worker process), the :class:`ShardRouter` for
+``repro serve --shards N``.  Both come from
+:func:`~repro.service.server.make_server`.
 
 The pieces:
 
@@ -26,12 +37,12 @@ The pieces:
   owner — the rebalance-on-eviction invariant the tests pin down).
 * :class:`LocalShard` — an in-process worker (one
   :class:`~repro.service.queue.AllocationService` with its own cache
-  dir).  Deterministic and fast; the tests, benches, and the loadgen
-  direct mode run on it.
+  dir).  Deterministic and fast; single-process ``repro serve``, the
+  tests, benches, and the loadgen direct mode run on it.
 * :class:`ProcessShard` — a worker *process* running the stock HTTP
   server on a free port (the child sends the port back over a pipe),
   spoken to through :class:`~repro.service.client.ServiceClient` —
-  which brings the PR-5 retry/backoff machinery to every hop.
+  which brings the retry/backoff machinery to every hop.
 * :class:`ShardRouter` — normalizes each request **once**
   (:func:`~repro.service.artifact.normalize_request`), routes by
   content address down the ring's preference order, and namespaces job
@@ -39,17 +50,15 @@ The pieces:
   reuse the client-side circuit breaker per shard: a worker that keeps
   failing its probe is **evicted** from the ring (its keys rehash to
   the survivors) and, once the breaker's cooldown admits a trial,
-  **respawned** and re-added — taking its old keys back.
-* :class:`ShardFrontendServer` / :func:`make_shard_server` — the HTTP
-  face (``repro serve --shards N``), same routes as the single-process
-  server; ``/v1/stats`` aggregates counters across shards.
+  **respawned** and re-added — taking its old keys back.  Its
+  ``stats`` aggregates counters across shards.
 
 Chaos coverage: the ``shard.route`` fault site (mode ``handoff``)
 forces the router to skip its first choice, and ``shard.worker``
 (``death`` / ``kill9`` / ``unhealthy``) breaks workers under the health
 loop (:mod:`repro.resilience.faults`).
 
-Lifecycle (PR 10, see ``docs/RESILIENCE.md``): ``POST
+Lifecycle (see ``docs/RESILIENCE.md``): ``POST
 /v1/admin/drain?shard=NAME`` drains one worker (off the ring for new
 keys, in-flight finishes, polls keep resolving), and
 :meth:`ShardRouter.rolling_restart` drains → restarts → rejoins shards
@@ -57,12 +66,13 @@ one at a time — with per-shard journals (``--journal``) a restarted or
 even SIGKILLed worker replays its accepted-but-unfinished jobs on boot.
 
 Telemetry: when :data:`~repro.obs.telemetry.TELEMETRY` is enabled the
-frontend opens a ``frontend.request`` span per HTTP request, the router
+handler opens a ``server.request`` span per HTTP request, the router
 nests a ``route`` span under it (handoffs, evictions, and shard
 failures become span events), and the trace context rides the
-``X-Repro-Trace`` header into each worker process — so ``GET
-/v1/trace/<trace_id>`` can merge the per-shard span buffers into one
-coherent trace.  ``GET /v1/metrics`` at the frontend aggregates every
+``X-Repro-Trace`` header into each worker process.  ``GET
+/v1/trace/<trace_id>`` serves the handler process's own span buffer
+plus :meth:`ShardRouter.trace` — the worker processes' buffers — as one
+coherent trace.  ``GET /v1/metrics`` on a fleet aggregates every
 shard's registry under a ``shard`` label next to the router's own
 counters.
 """
@@ -71,13 +81,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import os
 import threading
 import time
-from dataclasses import asdict, replace
-from http.server import ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from dataclasses import asdict
 
 from ..obs.telemetry import (
     TELEMETRY,
@@ -94,11 +101,6 @@ from .queue import (
     ServiceDrainingError,
     ServiceOverloadError,
 )
-from .server import (
-    DEFAULT_SYNC_TIMEOUT_S,
-    MAX_SYNC_TIMEOUT_S,
-    ServiceHandler,
-)
 
 __all__ = [
     "HashRing",
@@ -106,12 +108,8 @@ __all__ = [
     "NoShardAvailableError",
     "ProcessShard",
     "ShardError",
-    "ShardFrontendHandler",
-    "ShardFrontendServer",
     "ShardRouter",
-    "make_shard_server",
     "shard_cache_dir",
-    "shutdown_shard_server",
 ]
 
 
@@ -248,6 +246,10 @@ class LocalShard:
         self._dead = True
 
     def close(self) -> None:
+        """Graceful stop, as SIGTERM is to a :class:`ProcessShard`:
+        finish in-flight work, sync the journal, stop.  Idempotent."""
+        if not self._dead:
+            self.service.drain_wait(timeout=10.0)
         self.kill()
 
     def respawn(self) -> None:
@@ -266,8 +268,11 @@ class LocalShard:
         self.service = fresh
         self._dead = False
 
-    def drain(self) -> dict:
-        """Finish in-flight work, reject new submits; returns lifecycle."""
+    def drain(self, name: str | None = None) -> dict:
+        """Finish in-flight work, reject new submits; returns lifecycle.
+
+        *name* is the fleet's shard selector; a lone shard drains itself.
+        """
         self._check()
         return self.service.drain()
 
@@ -278,6 +283,10 @@ class LocalShard:
     def healthy(self) -> bool:
         return not self._dead
 
+    def health(self) -> dict:
+        self._check()
+        return {"ok": True}
+
     def _check(self) -> None:
         if self._dead:
             raise ShardError(f"shard {self.name!r} is dead")
@@ -286,6 +295,18 @@ class LocalShard:
     def submit(self, body: dict, trace: TraceContext | None = None) -> dict:
         self._check()
         return self.service.submit(body, trace=trace).describe()
+
+    def allocate(
+        self, body: dict, timeout: float = 30.0, trace: TraceContext | None = None
+    ) -> tuple[dict, bytes | None]:
+        """Submit and wait: ``(status, artifact)``, the artifact ``None``
+        unless the job is done.  Holds the job itself across the wait,
+        so a job evicted from the table meanwhile still answers."""
+        self._check()
+        job = self.service.submit(body, trace=trace)
+        job.wait(timeout)
+        status = job.describe()
+        return status, job.artifact if status["status"] == "done" else None
 
     def poll(self, job_id: str) -> dict:
         self._check()
@@ -319,15 +340,16 @@ class LocalShard:
         self._check()
         return self.service.stats()
 
-    def metrics_sample(self) -> list:
-        """``[(labels, sample), ...]`` — one unlabeled sample here; the
+    def metrics_samples(self) -> list:
+        """``[(labels, sample), ...]`` — one unlabeled sample here; a
         router stamps the ``shard`` label on."""
         self._check()
         return [({}, self.service.metrics_sample())]
 
     def trace(self, trace_id: str) -> dict:
-        """Local shards share the frontend's span buffer (same process,
-        same recorder) — return nothing so the merge never duplicates."""
+        """Local shards record into the serving process's own span
+        buffer, which the handler already serves — return nothing so
+        the trace never holds a span twice."""
         self._check()
         return {"trace_id": trace_id, "spans": []}
 
@@ -348,34 +370,14 @@ def _shard_worker_main(
     child's spans ``shard-<name>`` so the merged trace shows which
     worker ran what.
     """
-    import signal
-
-    from .server import make_server
+    from .server import make_server, serve
 
     if telemetry:
         TELEMETRY.enable(process=f"shard-{name}" if name else "shard")
     server = make_server(host, 0, ServiceConfig(**config_kwargs))
-
-    def _graceful(signum, frame):
-        # SIGTERM = graceful: finish in-flight work, sync the journal,
-        # then leave.  SIGKILL skips all of this — that is the crash
-        # the write-ahead journal recovers from.
-        def _stop():
-            server.service.drain_wait(timeout=10.0)
-            server.shutdown()
-
-        threading.Thread(target=_stop, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _graceful)
     conn.send(server.server_address[1])
     conn.close()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        server.service.stop()  # closes + syncs the journal
+    serve(server)  # SIGTERM drains and syncs the journal; SIGKILL does not
 
 
 class ProcessShard:
@@ -469,7 +471,7 @@ class ProcessShard:
         self.kill()
         self._boot()
 
-    def drain(self) -> dict:
+    def drain(self, name: str | None = None) -> dict:
         """``POST /v1/admin/drain`` on the worker; poll until drained."""
         return self._call(self.client.drain)
 
@@ -484,9 +486,12 @@ class ProcessShard:
         if self.process is None or not self.process.is_alive():
             return False
         try:
-            return bool(self.client.health().get("ok"))
+            return bool(self.health().get("ok"))
         except Exception:
             return False
+
+    def health(self) -> dict:
+        return self._call(self.client.health)
 
     # -- request surface ----------------------------------------------
     def _call(self, fn, *args, **kwargs):
@@ -514,7 +519,7 @@ class ProcessShard:
     def stats(self) -> dict:
         return self._call(self.client.stats)
 
-    def metrics_sample(self) -> list:
+    def metrics_samples(self) -> list:
         """The worker's ``/v1/metrics?format=json`` samples, as
         ``[(labels, sample), ...]`` ready for router relabeling."""
         payload = self._call(self.client.metrics_json)
@@ -636,14 +641,21 @@ class ShardRouter:
         TELEMETRY.event("router.respawn", shard=name)
 
     # -- lifecycle: drain / rolling restart ---------------------------
-    def drain(self, name: str) -> dict:
+    def drain(self, name: str | None = None) -> dict:
         """Put shard *name* in draining mode and take it off the ring.
 
         New keys route to the survivors immediately; the shard stays in
         :attr:`shards` so polls/results for its in-flight jobs keep
         resolving until it quiesces.  Returns the shard's lifecycle view
-        (call again to poll ``drained``).
+        (call again to poll ``drained``).  Without a *name* the router
+        cannot guess which worker to take down: a
+        :class:`~repro.service.artifact.RequestError` names the roster.
         """
+        if name is None:
+            raise RequestError(
+                "drain which shard? pass ?shard=NAME, one of "
+                f"{self.ring.members}"
+            )
         with self._lock:
             shard = self.shards.get(name)
             if shard is None:
@@ -751,7 +763,7 @@ class ShardRouter:
                     elif point.mode == "kill9":
                         # SIGKILL: no drain, no journal sync — recovery
                         # must come from the write-ahead journal alone.
-                        getattr(shard, "kill9", shard.kill)()
+                        shard.kill9()
                     elif point.mode == "unhealthy":
                         forced_unhealthy = True
             ok = not forced_unhealthy and shard.healthy()
@@ -958,6 +970,22 @@ class ShardRouter:
         status["shard"] = name
         return status
 
+    def allocate(
+        self, request: dict, timeout: float = 30.0,
+        trace: TraceContext | None = None,
+    ) -> tuple[dict, bytes | None]:
+        """:meth:`submit`, wait up to *timeout*, fetch the result:
+        ``(status, artifact)``, the artifact ``None`` unless done."""
+        status = self.submit(request, trace=trace)
+        if status["status"] not in ("done", "failed"):
+            try:
+                status = self.wait(status["job_id"], timeout=timeout)
+            except ServiceError:
+                pass  # still pending after the wait
+        if status["status"] != "done":
+            return status, None
+        return status, self.result(status["job_id"])
+
     def _resolve(self, job_id: str):
         if "@" not in job_id:
             raise RequestError(
@@ -1074,11 +1102,8 @@ class ShardRouter:
                 ({"shard": name}, {"counters": {"router.routed": float(count)}})
             )
         for name, shard in live:
-            fetch = getattr(shard, "metrics_sample", None)
-            if fetch is None:
-                continue
             try:
-                shard_samples = fetch()
+                shard_samples = shard.metrics_samples()
             except Exception:
                 continue
             for labels, sample in shard_samples:
@@ -1086,216 +1111,18 @@ class ShardRouter:
         return samples
 
     def trace(self, trace_id: str) -> dict:
-        """Merge the frontend-process span buffer (frontend + router +
-        any :class:`LocalShard` spans) with every live worker's buffer
-        for *trace_id* — the payload ``repro trace fetch`` renders."""
-        spans = list(TELEMETRY.spans_for(trace_id))
+        """Every live worker's spans for *trace_id*.  The router's own
+        process buffer (handler, router and any :class:`LocalShard`
+        spans) is not included — the handler serves it alongside."""
+        spans: list = []
         with self._lock:
-            live = sorted(self.shards.items())
-        for name, shard in live:
-            fetch = getattr(shard, "trace", None)
-            if fetch is None:
-                continue
+            live = [self.shards[name] for name in sorted(self.shards)]
+        for shard in live:
             try:
-                payload = fetch(trace_id)
+                spans.extend(shard.trace(trace_id).get("spans") or ())
             except Exception:
                 continue
-            if isinstance(payload, dict):
-                spans.extend(payload.get("spans") or ())
         return {"trace_id": trace_id, "spans": spans}
 
-
-# ----------------------------------------------------------------------
-# HTTP front end
-# ----------------------------------------------------------------------
-
-class ShardFrontendHandler(ServiceHandler):
-    """Same routes as :class:`ServiceHandler`, served by the router.
-
-    Reuses the base handler's JSON plumbing and ``_guarded`` rail (the
-    ``server.request`` fault site and the concurrent-handler limit work
-    unchanged at the frontend), but resolves every request through
-    ``self.server.router`` instead of a local service.
-    """
-
-    server_version = "repro-shard-frontend/1"
-    span_name = "frontend.request"
-
-    @property
-    def router(self) -> ShardRouter:
-        return self.server.router  # type: ignore[attr-defined]
-
-    def _metrics_samples(self) -> list:
-        # The fleet exposition: router counters + per-shard registries.
-        return self.router.metrics_samples()
-
-    def _trace_payload(self, trace_id: str) -> dict:
-        # Merged across the frontend process and every worker shard.
-        return self.router.trace(trace_id)
-
-    def _do_get(self) -> None:
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        try:
-            if url.path == "/healthz":
-                self._send_json({"ok": True, "shards": len(self.router.ring)})
-            elif url.path == "/v1/stats":
-                self._send_json(self.router.stats())
-            elif url.path == "/v1/metrics":
-                self._get_metrics(url)
-            elif len(parts) == 3 and parts[:2] == ["v1", "trace"]:
-                self._send_json(self._trace_payload(parts[2]))
-            elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                self._send_json(self.router.poll(parts[2]))
-            elif (
-                len(parts) == 4
-                and parts[:2] == ["v1", "jobs"]
-                and parts[3] == "result"
-            ):
-                self._get_result(parts[2])
-            else:
-                self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except RequestError as exc:
-            self._send_json({"error": str(exc)}, 400)
-        except ServiceError as exc:
-            self._send_json({"error": str(exc)}, exc.status or 502)
-        except ShardError as exc:
-            self._send_json({"error": str(exc)}, 503, retry_after_s=1.0)
-
-    def _get_result(self, job_id: str) -> None:
-        status = self.router.poll(job_id)
-        if status["status"] == "failed":
-            self._send_json(status, 500)
-        elif status["status"] != "done":
-            self._send_json(status, 202, retry_after_s=1.0)
-        else:
-            self._send_bytes(self.router.result(job_id))
-
-    def _do_post(self) -> None:
-        url = urlparse(self.path)
-        try:
-            if url.path == "/v1/submit":
-                with self._request_span() as span:
-                    status = self.router.submit(
-                        self._read_body(), trace=span.ctx
-                    )
-                self._send_json(
-                    status, 202 if status["status"] == "queued" else 200
-                )
-            elif url.path == "/v1/allocate":
-                self._allocate(url)
-            elif url.path == "/v1/admin/drain":
-                self._drain(url)
-            else:
-                self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except RequestError as exc:
-            self._send_json({"error": str(exc)}, 400)
-        except ServiceOverloadError as exc:
-            payload = {"error": str(exc)}
-            if isinstance(exc, ServiceDrainingError):
-                payload["draining"] = True
-            self._send_json(payload, 503, retry_after_s=exc.retry_after_s)
-        except (ShardError, ServiceError) as exc:
-            self._send_json({"error": str(exc)}, 503, retry_after_s=1.0)
-
-    def _drain(self, url) -> None:
-        """``POST /v1/admin/drain?shard=NAME`` — drain one worker shard.
-
-        Idempotent: repeat to poll ``drained``.  Without the ``shard``
-        query the frontend cannot guess which worker to take down, so it
-        answers 400 with the fleet roster.
-        """
-        query = parse_qs(url.query)
-        name = query.get("shard", [None])[0]
-        if name is None:
-            raise RequestError(
-                "drain which shard? pass ?shard=NAME, one of "
-                f"{self.router.ring.members}"
-            )
-        self._send_json(self.router.drain(name))
-
-    def _allocate(self, url) -> None:
-        query = parse_qs(url.query)
-        timeout = float(query.get("timeout_s", [DEFAULT_SYNC_TIMEOUT_S])[0])
-        timeout = min(max(timeout, 0.0), MAX_SYNC_TIMEOUT_S)
-        with self._request_span() as span:
-            status = self.router.submit(self._read_body(), trace=span.ctx)
-        if status["status"] not in ("done", "failed"):
-            try:
-                status = self.router.wait(status["job_id"], timeout=timeout)
-            except ServiceError:
-                pass  # still pending: fall through to the 202 below
-        if status["status"] == "failed":
-            self._send_json(status, 500)
-        elif status["status"] != "done":
-            self._send_json(status, 202, retry_after_s=1.0)
-        else:
-            status["artifact"] = json.loads(
-                self.router.result(status["job_id"])
-            )
-            self._send_json(status)
-
-
-class ShardFrontendServer(ThreadingHTTPServer):
-    """The sharded fleet's HTTP face; one router behind many handlers."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        router: ShardRouter,
-        max_concurrent_requests: int = 32,
-    ):
-        super().__init__(address, ShardFrontendHandler)
-        self.router = router
-        self.request_slots = threading.BoundedSemaphore(
-            max(1, max_concurrent_requests)
-        )
-
-
-def make_shard_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    shards: int = 3,
-    config: ServiceConfig | None = None,
-    replicas: int = 64,
-    health_interval_s: float | None = 1.0,
-    router: ShardRouter | None = None,
-) -> ShardFrontendServer:
-    """Boot a worker fleet and bind the front end (``repro serve --shards``).
-
-    Workers are named ``s0..s{N-1}``; each gets a private cache shard
-    under the configured ``cache_dir`` (:func:`shard_cache_dir`), and —
-    when ``journal_dir`` is configured — a private write-ahead journal
-    under it (same per-name layout, same no-cross-worker-race argument:
-    keyspace partitioning means no two live shards share a journal).
-    Pass a pre-built *router* to serve custom shard objects (the tests
-    mount :class:`LocalShard` fleets this way).  ``port=0`` binds a free
-    port.
-    """
-    base = config or ServiceConfig()
-    if router is None:
-        workers = []
-        for i in range(max(1, shards)):
-            name = f"s{i}"
-            worker_config = replace(
-                base,
-                cache_dir=shard_cache_dir(base.cache_dir, name),
-                journal_dir=shard_cache_dir(base.journal_dir, name),
-            )
-            workers.append(ProcessShard(name, worker_config, host=host))
-        router = ShardRouter(workers, replicas=replicas)
-    if health_interval_s is not None:
-        router.start_health_loop(health_interval_s)
-    return ShardFrontendServer(
-        (host, port), router, base.max_concurrent_requests
-    )
-
-
-def shutdown_shard_server(server) -> None:
-    """Stop the HTTP loop, the health loop, and every worker."""
-    server.shutdown()
-    server.server_close()
-    server.router.close()
+    def health(self) -> dict:
+        return {"ok": True, "shards": len(self.ring)}

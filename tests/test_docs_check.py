@@ -183,26 +183,50 @@ def test_documented_endpoints_match_server_routes():
     )
 
 
-def test_shard_frontend_serves_the_same_routes():
-    # The sharded front end must not fork the HTTP surface: every route
-    # in ROUTES resolves through ShardFrontendHandler's dispatch too
-    # (both handlers 404 unknown paths with a "no such path" marker).
-    import inspect
+def _route_answers(server):
+    """``{(method, template): (status, body)}`` for every ROUTES entry
+    sent to a live *server*, plus one unknown path."""
+    import http.client
+    import threading
 
-    from repro.service import shard
-    from repro.service.server import ROUTES
+    from repro.service.server import ROUTES, shutdown_server
 
-    source = inspect.getsource(shard.ShardFrontendHandler)
-    for _, path in ROUTES:
-        # Each literal path segment must appear in the dispatch source
-        # (placeholder segments like <id> are matched positionally).
-        for segment in path.split("?", 1)[0].split("/"):
-            if segment and not segment.startswith("<"):
-                assert segment in source, (
-                    f"frontend handler lost route {path} (segment "
-                    f"{segment!r})"
-                )
-    assert "no such path" in source
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    answers = {}
+    try:
+        for method, template in [*ROUTES, ("GET", "/v1/no-such-route")]:
+            path = re.sub(r"<[^>]+>", "j000001", template)
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+            try:
+                body = b"{}" if method == "POST" else None
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                answers[method, template] = (response.status, response.read())
+            finally:
+                conn.close()
+    finally:
+        shutdown_server(server)
+        thread.join(timeout=5)
+    return answers
+
+
+def test_every_route_is_served_by_single_and_fleet_servers():
+    # One handler serves both topologies: no ROUTES entry may fall
+    # through to the "no such path" 404 on a single-process server or
+    # on a fleet server over two in-process shards.
+    from repro.service import LocalShard, ServiceConfig, ShardRouter
+    from repro.service.server import make_server
+
+    fleet = ShardRouter(
+        [LocalShard(f"s{i}", ServiceConfig()) for i in range(2)]
+    )
+    for server in (make_server(config=ServiceConfig()), make_server(backend=fleet)):
+        answers = _route_answers(server)
+        status, body = answers.pop(("GET", "/v1/no-such-route"))
+        assert status == 404 and b"no such path" in body
+        for route, (status, body) in answers.items():
+            assert b"no such path" not in body, (route, status, body)
 
 
 def test_durability_doc_is_wired_in():
@@ -358,3 +382,49 @@ def test_scaling_doc_is_wired_in():
     for term in ("shard", "consistent hashing", "open-loop", "goodput",
                  "p999"):
         assert term in glossary, f"GLOSSARY.md missing {term}"
+
+
+# ----------------------------------------------------------------------
+# Checked-in bench records vs their gates and the docs quoting them
+# ----------------------------------------------------------------------
+
+RESULTS = REPO / "benchmarks" / "results"
+
+
+def test_bench_records_pass_their_own_gates():
+    # "overhead 5.6%   (gate 5%)" and "(+3.1%; gate 5%, ...)" alike.
+    figure = re.compile(r"([+-]?\d+(?:\.\d+)?)%[;\s(]+gate (\d+(?:\.\d+)?)%")
+    gated = []
+    for path in sorted(RESULTS.rglob("*.txt")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            for measured, gate in figure.findall(line):
+                gated.append(path.name)
+                assert float(measured) <= float(gate), (
+                    f"{path.name} records a failing run: {line.strip()}"
+                )
+    assert {"journal_overhead.txt", "telemetry_overhead.txt"} <= set(gated)
+
+
+def test_performance_speedup_table_matches_the_record():
+    record = (RESULTS / "flat_speedup.txt").read_text(encoding="utf-8")
+    rows = []
+    for instrs, block in re.findall(
+        r"kernel \((\d+) instrs\):\n((?: {4}.*\n?)+)", record
+    ):
+        off = re.search(r"REPRO_FAST=off\)\s+([\d.]+) ms", block).group(1)
+        cells = [f"{off} ms"]
+        for mode in ("python", "numpy"):
+            ms, speedup = re.search(
+                rf"REPRO_FAST={mode}\s+([\d.]+) ms\s+\(([\d.]+)x", block
+            ).groups()
+            cells.append(f"{ms} ms ({speedup}×)")
+        rows.append(f"| {instrs} instrs | " + " | ".join(cells) + " |")
+    assert len(rows) == 2, record
+    doc = (REPO / "docs/PERFORMANCE.md").read_text(encoding="utf-8")
+    table = [
+        line for line in doc.splitlines() if re.match(r"\| \d+ instrs \|", line)
+    ]
+    assert table == rows
+    incremental = re.search(r"\(([\d.]+)x, bit-identical, \d+ of 4 reused", record)
+    prose = " ".join(doc.split())
+    assert f"{incremental.group(1)}× faster than from scratch" in prose

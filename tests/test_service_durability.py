@@ -10,6 +10,8 @@ lifecycle").
 from __future__ import annotations
 
 import json
+import os
+import stat
 import threading
 import time
 from types import SimpleNamespace
@@ -185,6 +187,43 @@ def test_compaction_equivalence(tmp_path):
     assert ([r["job_id"] for r in after.pending]
             == [r["job_id"] for r in before.pending])
     assert after.dead_letter == before.dead_letter == [dead]
+
+
+def _synced_dirs(monkeypatch) -> list:
+    """Record the inode of every directory ``os.fsync`` is called on."""
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            synced.append(info.st_ino)
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return synced
+
+
+def test_compaction_fsyncs_the_journal_directory(tmp_path, monkeypatch):
+    journal = JobJournal(str(tmp_path))
+    journal.record_accepted(fake_job("j000001"))
+    synced = _synced_dirs(monkeypatch)
+    journal.compact()
+    journal.close()
+    # The checkpoint rename is only durable once its directory is.
+    assert os.stat(tmp_path).st_ino in synced
+
+
+def test_torn_tail_heal_fsyncs_the_journal_directory(tmp_path, monkeypatch):
+    journal = JobJournal(str(tmp_path))
+    journal.record_accepted(fake_job("j000001"))
+    journal.close()
+    torn = frame_record({"type": "accepted", "job_id": "j000002"})
+    with open(journal.journal_path, "ab") as fh:
+        fh.write(torn[: len(torn) // 2].rstrip(b"\n"))
+    synced = _synced_dirs(monkeypatch)
+    assert JobJournal(str(tmp_path)).replay().truncated == 1
+    assert os.stat(tmp_path).st_ino in synced
 
 
 def test_maybe_compact_waits_for_terminal_dominance(tmp_path):

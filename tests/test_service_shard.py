@@ -13,6 +13,7 @@ from repro.service import (
     HashRing,
     LocalShard,
     NoShardAvailableError,
+    ProcessShard,
     RequestError,
     ServiceConfig,
     ServiceError,
@@ -23,11 +24,8 @@ from repro.service import (
     normalize_request,
 )
 from repro.service.client import ServiceClient
-from repro.service.shard import (
-    ShardFrontendServer,
-    shard_cache_dir,
-    shutdown_shard_server,
-)
+from repro.service.server import make_server, shutdown_server
+from repro.service.shard import shard_cache_dir
 
 from .conftest import build_mac_kernel
 
@@ -333,7 +331,7 @@ def test_route_handoff_fault_skips_the_owner():
 @pytest.fixture
 def frontend():
     router = make_router()
-    server = ShardFrontendServer(("127.0.0.1", 0), router)
+    server = make_server(backend=router)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -341,7 +339,7 @@ def frontend():
     try:
         yield client, router
     finally:
-        shutdown_shard_server(server)
+        shutdown_server(server)
         thread.join(timeout=5)
 
 
@@ -365,3 +363,16 @@ def test_frontend_allocate_stats_and_errors(frontend):
     with pytest.raises(ServiceError) as excinfo:
         client.poll("j000001@nope")  # unknown shard → 503
     assert excinfo.value.status == 503
+
+
+def test_process_shard_wait_timeout_means_pending_not_dead(monkeypatch):
+    # A worker that keeps answering "queued" is alive: the wait timeout
+    # must stay a ServiceError (the router's "still pending", answered
+    # 202 like a single server), never a ShardError (a dead worker, 503).
+    client = ServiceClient("http://127.0.0.1:9", retries=0)
+    monkeypatch.setattr(client, "poll", lambda job_id: {"status": "queued"})
+    shard = object.__new__(ProcessShard)  # no worker process needed
+    shard.name, shard.client = "s0", client
+    with pytest.raises(ServiceError) as excinfo:
+        shard.wait("j000001", timeout=0.0)
+    assert excinfo.value.status == 202
